@@ -57,7 +57,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Milliseconds of a duration, for the per-phase round timings.
-fn ms(d: Duration) -> f64 {
+pub(crate) fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
@@ -111,16 +111,16 @@ impl FlowCaches {
 /// revision: the simulation, the candidate scores, and the phase
 /// accounting destined for each member's [`RoundTrace`].
 pub(crate) struct RoundShared {
-    sim: Sim,
-    scored: Vec<ScoredLac>,
-    n_cands_eff: usize,
-    scored_exact: usize,
-    scored_pruned: usize,
-    gen_ctrs: GenCounters,
-    candgen_ms: f64,
-    mask_ms: f64,
-    score_ms: f64,
-    window_targets: usize,
+    pub sim: Sim,
+    pub scored: Vec<ScoredLac>,
+    pub n_cands_eff: usize,
+    pub scored_exact: usize,
+    pub scored_pruned: usize,
+    pub gen_ctrs: GenCounters,
+    pub candgen_ms: f64,
+    pub mask_ms: f64,
+    pub score_ms: f64,
+    pub window_targets: usize,
 }
 
 /// The identity remap over `n` nodes: rolls a cache "forward" without
@@ -188,20 +188,12 @@ pub(crate) fn prepare_round(
         } else {
             pending.as_deref()
         };
-        let (cands, gen_ctrs) = if cfg.incremental_candgen {
-            let cands = caches.store.generate(
-                current,
-                &sim,
-                &cfg.candidates,
-                store_remap,
-                pool,
-                win_mask,
-            );
-            store_rolled = true;
-            (cands, caches.store.last_gen_counters())
-        } else {
-            lac::generate_candidates_windowed_counted(current, &sim, &cfg.candidates, win_mask)
-        };
+        let cands =
+            caches
+                .store
+                .generate(current, &sim, &cfg.candidates, store_remap, pool, win_mask);
+        store_rolled = true;
+        let gen_ctrs = caches.store.last_gen_counters();
         let candgen_ms = ms(t_candgen.elapsed());
         if cands.is_empty() {
             continue;
@@ -219,23 +211,11 @@ pub(crate) fn prepare_round(
         // round's top set: `r_top` never exceeds `max(r_ref, r_min)` (ties
         // at the minimum are always scored exactly), and the single-mode
         // ladder looks at the first 64 — so `max(r_ref, 64)` exact scores
-        // cover every consumer.
+        // cover every consumer. Candidates that cost more nodes than
+        // their MFFC frees are not LACs at all; the top-k scorer filters
+        // them before scoring.
         let k_topk = r_ref.max(64);
-        let (mut scored, topk_stats) = if cfg.pruned_scoring {
-            let (s, stats) = if cfg.incremental_candgen {
-                estimator.score_topk_cached(&cands, &caches.store.devs(), k_topk)
-            } else {
-                estimator.score_topk(&cands, k_topk)
-            };
-            (s, Some(stats))
-        } else {
-            let s = if cfg.incremental_candgen {
-                estimator.score_all_cached(&cands, &caches.store.devs())
-            } else {
-                estimator.score_all(&cands)
-            };
-            (s, None)
-        };
+        let (scored, stats) = estimator.score_topk_cached(&cands, &caches.store.devs(), k_topk);
         let phases = estimator.phases();
         drop(estimator);
         if let Some(w) = win_mask {
@@ -243,25 +223,15 @@ pub(crate) fn prepare_round(
             // the rotation has left are cheap to recompute on return.
             caches.mask.retain_only(w);
         }
-        // A LAC must reduce hardware cost; changes that cost more nodes
-        // than their MFFC frees are not LACs at all. The top-k path already
-        // filtered them before scoring.
-        let (n_cands_eff, scored_exact, scored_pruned) = match topk_stats {
-            Some(st) => (st.n_candidates, st.n_exact, st.n_pruned),
-            None => {
-                scored.retain(|s| s.gain > 0);
-                (scored.len(), scored.len(), 0)
-            }
-        };
         if scored.is_empty() {
             continue;
         }
         return Some(RoundShared {
             sim,
             scored,
-            n_cands_eff,
-            scored_exact,
-            scored_pruned,
+            n_cands_eff: stats.n_candidates,
+            scored_exact: stats.n_exact,
+            scored_pruned: stats.n_pruned,
             gen_ctrs,
             candgen_ms,
             mask_ms: phases.mask_ms,
@@ -311,6 +281,20 @@ pub(crate) struct RoundCtx<'s, 'a> {
     pub r_sel: usize,
 }
 
+impl RoundCtx<'_, '_> {
+    /// The error of `aig` measured in full: simulate the whole circuit
+    /// over the sample and score it against the golden outputs.
+    fn full_error(&self, aig: &Aig) -> f64 {
+        let sim = simulate(aig, self.pats);
+        error(
+            self.cfg.metric,
+            self.golden_sigs,
+            &sim.output_sigs(aig),
+            self.pats.n_patterns(),
+        )
+    }
+}
+
 /// Cross-member memoization for one cohort round. Trial measurements
 /// and commits are pure functions of `(base circuit, LAC set)`, so
 /// members that select the same set pay for it once; the single-mode
@@ -323,6 +307,9 @@ pub(crate) struct RoundScratch<'a> {
     te: Option<TrialEval<'a>>,
     trials: HashMap<(Vec<Lac>, bool), TrialMeasure>,
     commits: HashMap<Vec<Lac>, Arc<Committed>>,
+    /// Measure every set by a full commit instead of on the trial
+    /// engine — set only by the [`crate::reference`] oracle.
+    reference: bool,
 }
 
 impl<'a> RoundScratch<'a> {
@@ -330,6 +317,48 @@ impl<'a> RoundScratch<'a> {
         self.topo
             .get_or_insert_with(|| ConeTopology::build(current))
             .clone()
+    }
+
+    /// Measures each of `sets` against the round's base circuit, in
+    /// order. Every measurement of a round — the single-mode ladder, the
+    /// multi-mode race, the `l_d` revert — goes through here. Production
+    /// runs the [`TrialEval`] engine: several sets on a multi-threaded
+    /// pool are raced on fresh evaluators, anything else goes through
+    /// the cohort memo. The reference oracle instead commits each set
+    /// (clone, apply, cleanup) and re-simulates it in full, in order.
+    fn measure(
+        &mut self,
+        ctx: &RoundCtx<'_, 'a>,
+        sets: &[&[ScoredLac]],
+        want_n_ands: bool,
+    ) -> Vec<TrialMeasure> {
+        if self.reference {
+            return sets
+                .iter()
+                .map(|set| {
+                    let c = self.committed(ctx, set, |aig| ctx.full_error(aig));
+                    TrialMeasure {
+                        e_after: c.e_after,
+                        n_ands_after: Some(c.aig.n_ands()),
+                        report: c.report,
+                    }
+                })
+                .collect();
+        }
+        let threads = ctx.pool.threads();
+        if sets.len() > 1 && threads > 1 {
+            let topo = self.topo(ctx.current);
+            let chunk = sets.len().div_ceil(threads);
+            let measures = ctx.pool.par_chunk_results(sets.len(), chunk, |_, r| {
+                let mut te = TrialEval::new(ctx.current, ctx.sim, ctx.eval, topo.clone());
+                r.map(|i| te.measure(sets[i], want_n_ands))
+                    .collect::<Vec<_>>()
+            });
+            return measures.into_iter().flatten().collect();
+        }
+        sets.iter()
+            .map(|set| self.trial(ctx, set, want_n_ands))
+            .collect()
     }
 
     /// Memoized incremental trial measurement of `lacs` against the
@@ -352,16 +381,34 @@ impl<'a> RoundScratch<'a> {
         m
     }
 
-    /// Memoized commit of `lacs`: clone, apply, cleanup. With
-    /// `e_trial` the trial-measured error stands in for the full
-    /// re-measure (bit-identical by the [`TrialEval`] contract —
-    /// debug builds verify it on every fresh commit); without it the
-    /// committed circuit is measured in full.
+    /// Memoized commit of `lacs` — clone, apply, cleanup — carrying
+    /// the trial-measured error `e_trial`. It is bit-identical to a
+    /// full re-measure by the [`TrialEval`] contract; debug builds
+    /// verify that on every fresh commit.
     fn commit(
         &mut self,
         ctx: &RoundCtx<'_, 'a>,
         lacs: &[ScoredLac],
-        e_trial: Option<f64>,
+        e_trial: f64,
+    ) -> Arc<Committed> {
+        self.committed(ctx, lacs, |_aig| {
+            #[cfg(debug_assertions)]
+            assert_eq!(
+                ctx.full_error(_aig).to_bits(),
+                e_trial.to_bits(),
+                "trial measurement diverged from the committed circuit"
+            );
+            e_trial
+        })
+    }
+
+    /// The memoized commit of `lacs`, built on a miss with `e_after`
+    /// measuring the committed circuit.
+    fn committed(
+        &mut self,
+        ctx: &RoundCtx<'_, 'a>,
+        lacs: &[ScoredLac],
+        e_after: impl FnOnce(&Aig) -> f64,
     ) -> Arc<Committed> {
         let key: Vec<Lac> = lacs.iter().map(|s| s.lac).collect();
         if let Some(c) = self.commits.get(&key) {
@@ -370,38 +417,9 @@ impl<'a> RoundScratch<'a> {
         let mut copy = ctx.current.clone();
         let report = apply_all(&mut copy, &key);
         let remap = copy.cleanup().expect("editing keeps the graph acyclic");
-        let e_after = match e_trial {
-            Some(e) => {
-                #[cfg(debug_assertions)]
-                {
-                    let sim = simulate(&copy, ctx.pats);
-                    let e_real = error(
-                        ctx.cfg.metric,
-                        ctx.golden_sigs,
-                        &sim.output_sigs(&copy),
-                        ctx.pats.n_patterns(),
-                    );
-                    assert_eq!(
-                        e_real.to_bits(),
-                        e.to_bits(),
-                        "trial measurement diverged from the committed circuit"
-                    );
-                }
-                e
-            }
-            None => {
-                let sim = simulate(&copy, ctx.pats);
-                error(
-                    ctx.cfg.metric,
-                    ctx.golden_sigs,
-                    &sim.output_sigs(&copy),
-                    ctx.pats.n_patterns(),
-                )
-            }
-        };
         let c = Arc::new(Committed {
+            e_after: e_after(&copy),
             aig: copy,
-            e_after,
             report,
             remap,
         });
@@ -441,6 +459,48 @@ pub(crate) fn decide_round<'a>(
     }
 }
 
+/// The trace of a round that committed `committed`, as a single-mode
+/// round records it; multi rounds override the selection fields. The
+/// shared-phase fields are filled in by [`FlowInstance::fill_shared`].
+fn round_trace(
+    ctx: &RoundCtx<'_, '_>,
+    committed: &Committed,
+    n_candidates: usize,
+    e_est: f64,
+    [select_ms, trial_ms, commit_ms]: [f64; 3],
+) -> RoundTrace {
+    RoundTrace {
+        round: 0,
+        single_mode: true,
+        n_candidates,
+        r_top: 1,
+        n_sol: 1,
+        n_indp: 1,
+        n_rand: 0,
+        chose_indp: false,
+        applied: committed.report.applied,
+        dropped_cycle: committed.report.dropped_cycle,
+        reverted: false,
+        e_before: ctx.e,
+        e_after: committed.e_after,
+        e_est,
+        n_ands_after: committed.aig.n_ands(),
+        scored_exact: 0,
+        scored_pruned: 0,
+        candgen_ms: 0.0,
+        mask_ms: 0.0,
+        score_ms: 0.0,
+        select_ms,
+        trial_ms,
+        commit_ms,
+        candgen_probe_draws: 0,
+        candgen_strip_cmps: 0,
+        candgen_pool_hits: 0,
+        candgen_pool_misses: 0,
+        window_targets: 0,
+    }
+}
+
 fn single_round<'a>(
     ctx: &RoundCtx<'_, 'a>,
     scratch: &mut RoundScratch<'a>,
@@ -466,142 +526,80 @@ fn single_round<'a>(
         })
         .clone();
     let select_ms = ms(t_select.elapsed());
-    let trial_ms;
-    let mut commit_ms = 0.0;
-    // Try candidates in order until one makes progress (area shrinks,
-    // or the error moves at equal area — never area growth, which
-    // would let the flow cycle). A candidate that overshoots the
-    // bound is terminal: Algorithm 1 stops there.
-    let (best, committed) = if ctx.cfg.incremental_trials {
-        let t_trial = Instant::now();
-        let picked = pick_single_trial(ctx, scratch, &top);
-        trial_ms = ms(t_trial.elapsed());
-        let (i, m) = picked.expect("scored list is non-empty");
-        let best = top[i].clone();
-        let t_commit = Instant::now();
-        let c = scratch.commit(ctx, std::slice::from_ref(&best), Some(m.e_after));
-        commit_ms = ms(t_commit.elapsed());
-        (best, c)
-    } else {
-        let t_trial = Instant::now();
-        let mut last: Option<(ScoredLac, Arc<Committed>)> = None;
-        for best in &top {
-            let c = scratch.commit(ctx, std::slice::from_ref(best), None);
-            let progress = c.aig.n_ands() <= ctx.current.n_ands()
-                && (c.aig.n_ands() < ctx.current.n_ands() || c.e_after != ctx.e);
-            let terminal = c.e_after > ctx.cfg.error_bound;
-            let done = progress || terminal;
-            last = Some((best.clone(), c));
-            if done {
-                break;
-            }
-        }
-        trial_ms = ms(t_trial.elapsed());
-        last.expect("scored list is non-empty")
-    };
-    let trace = RoundTrace {
-        round: 0,
-        single_mode: true,
+    let t_trial = Instant::now();
+    let (i, m) = pick_single_trial(ctx, scratch, &top).expect("scored list is non-empty");
+    let trial_ms = ms(t_trial.elapsed());
+    let best = &top[i];
+    let t_commit = Instant::now();
+    let committed = scratch.commit(ctx, std::slice::from_ref(best), m.e_after);
+    let commit_ms = ms(t_commit.elapsed());
+    let trace = round_trace(
+        ctx,
+        &committed,
         n_candidates,
-        r_top: 1,
-        n_sol: 1,
-        n_indp: 1,
-        n_rand: 0,
-        chose_indp: false,
-        applied: committed.report.applied,
-        dropped_cycle: committed.report.dropped_cycle,
-        reverted: false,
-        e_before: ctx.e,
-        e_after: committed.e_after,
-        e_est: ctx.e + best.delta_e,
-        n_ands_after: committed.aig.n_ands(),
-        scored_exact: 0,
-        scored_pruned: 0,
-        candgen_ms: 0.0,
-        mask_ms: 0.0,
-        score_ms: 0.0,
-        select_ms,
-        trial_ms,
-        commit_ms,
-        candgen_probe_draws: 0,
-        candgen_strip_cmps: 0,
-        candgen_pool_hits: 0,
-        candgen_pool_misses: 0,
-        window_targets: 0,
-    };
+        ctx.e + best.delta_e,
+        [select_ms, trial_ms, commit_ms],
+    );
     (committed, trace)
 }
 
-/// The single-mode trial ladder over the incremental engine: finds the
-/// index (and trial measurement) of the first candidate in `top` that
-/// makes progress or overshoots the bound — the candidate the
-/// sequential apply-and-measure ladder would stop at — without
-/// committing any of them. Falls back to the last index when none is
-/// decisive.
+/// The single-mode trial ladder: finds the index (and measurement) of
+/// the first candidate in `top` that makes progress (area shrinks, or
+/// the error moves at equal area — never area growth, which would let
+/// the flow cycle) or overshoots the bound (terminal: Algorithm 1 stops
+/// there). Falls back to the last index when none is decisive.
 ///
 /// With more than one pool thread, candidates are measured
 /// speculatively in parallel waves; every measurement is bit-identical
 /// to its sequential counterpart and the wave results are scanned in
 /// candidate order, so the pick is deterministic at any thread count.
-/// The serial path routes through the cohort memo instead — same
-/// measurements, shared across members.
 fn pick_single_trial<'a>(
     ctx: &RoundCtx<'_, 'a>,
     scratch: &mut RoundScratch<'a>,
     top: &[ScoredLac],
 ) -> Option<(usize, TrialMeasure)> {
-    if top.is_empty() {
-        return None;
-    }
     let n_ands = ctx.current.n_ands();
     let done = |m: &TrialMeasure| {
         let na = m.n_ands_after.expect("single trials measure area");
         let progress = na <= n_ands && (na < n_ands || m.e_after != ctx.e);
         progress || m.e_after > ctx.cfg.error_bound
     };
-    let threads = ctx.pool.threads();
-    if threads <= 1 {
-        let mut last = None;
-        for (i, s) in top.iter().enumerate() {
-            let m = scratch.trial(ctx, std::slice::from_ref(s), true);
-            let decisive = done(&m);
-            last = Some((i, m));
-            if decisive {
-                break;
-            }
-        }
-        return last;
-    }
     // Ladders are shallow in practice (the first candidate is usually
     // decisive), so ramp the speculative wave geometrically: the first
     // wave costs the same as the sequential ladder, and full-width
     // speculation only engages on the rare deep ladder where the
     // parallel race actually pays.
-    let topo = scratch.topo(ctx.current);
-    let wave_cap = (threads * 2).clamp(2, 16);
+    let threads = ctx.pool.threads();
+    let wave_cap = if threads > 1 {
+        (threads * 2).min(16)
+    } else {
+        1
+    };
     let mut wave = 1;
     let mut start = 0;
     let mut last = None;
     while start < top.len() {
-        let slice = &top[start..(start + wave).min(top.len())];
-        let chunk = slice.len().div_ceil(threads).max(1);
-        let measures = ctx.pool.par_chunk_results(slice.len(), chunk, |_, r| {
-            let mut te = TrialEval::new(ctx.current, ctx.sim, ctx.eval, topo.clone());
-            r.map(|i| te.measure(std::slice::from_ref(&slice[i]), true))
-                .collect::<Vec<_>>()
-        });
-        for (i, m) in measures.iter().flatten().enumerate() {
-            if done(m) {
-                return Some((start + i, *m));
+        let sets: Vec<&[ScoredLac]> = top[start..(start + wave).min(top.len())]
+            .iter()
+            .map(std::slice::from_ref)
+            .collect();
+        for (i, m) in scratch.measure(ctx, &sets, true).into_iter().enumerate() {
+            if done(&m) {
+                return Some((start + i, m));
             }
-            last = Some((start + i, *m));
+            last = Some((start + i, m));
         }
-        start += slice.len();
+        start += sets.len();
         wave = (wave * 2).min(wave_cap);
     }
     last
 }
 
+/// The multi-mode round: select the top set, solve its conflicts, pick
+/// the independent set, race it against an equally sized random set
+/// (Lines 7-12 of Algorithm 1), run the `l_d` negative-set check on the
+/// measurements, and only then commit the chosen set through the one
+/// real apply of the round.
 fn multi_round<'a>(
     ctx: &RoundCtx<'_, 'a>,
     scratch: &mut RoundScratch<'a>,
@@ -639,167 +637,52 @@ fn multi_round<'a>(
     };
     let select_ms = ms(t_select.elapsed());
 
-    if cfg.incremental_trials {
-        return multi_round_incremental(
-            ctx, scratch, n_candidates, &l_top, l_sol.len(), &l_indp, &l_rand, select_ms,
-        );
-    }
-
     let t_trial = Instant::now();
-    let c1 = scratch.commit(ctx, &l_indp, None);
-    let (mut committed, mut chose_indp, mut chosen): (Arc<Committed>, bool, &[ScoredLac]) =
-        (c1, true, &l_indp);
-    if cfg.race_random {
-        let c2 = scratch.commit(ctx, &l_rand, None);
-        chose_indp = committed.e_after < c2.e_after
-            || (committed.e_after == c2.e_after && l_indp.len() >= l_rand.len());
-        if !chose_indp {
-            committed = c2;
-            chosen = &l_rand;
-        }
-    }
+    let race: &[&[ScoredLac]] = if cfg.race_random {
+        &[&l_indp, &l_rand]
+    } else {
+        &[&l_indp]
+    };
+    let es = scratch.measure(ctx, race, false);
+    let e1 = es[0].e_after;
+    let e2 = es.get(1).map_or(f64::INFINITY, |m| m.e_after);
+    let chose_indp = e1 < e2 || (e1 == e2 && l_indp.len() >= l_rand.len());
+    let (mut e_after, mut chosen) = if chose_indp {
+        (e1, l_indp.as_slice())
+    } else {
+        (e2, l_rand.as_slice())
+    };
     let mut e_est = ctx.e + chosen.iter().map(|s| s.delta_e).sum::<f64>();
 
     // Improvement technique 2: detect a negative LAC set and revert
     // to applying only the single best LAC.
     let mut reverted = false;
-    if committed.e_after > 0.0 {
-        let beta = (committed.e_after - e_est) / committed.e_after;
-        if beta > cfg.l_d {
-            let best = l_top[0].clone();
-            committed = scratch.commit(ctx, std::slice::from_ref(&best), None);
-            e_est = ctx.e + best.delta_e;
-            reverted = true;
-        }
+    if e_after > 0.0 && (e_after - e_est) / e_after > cfg.l_d {
+        chosen = std::slice::from_ref(&l_top[0]);
+        e_after = scratch.measure(ctx, &[chosen], false)[0].e_after;
+        e_est = ctx.e + l_top[0].delta_e;
+        reverted = true;
     }
     let trial_ms = ms(t_trial.elapsed());
 
+    let t_commit = Instant::now();
+    let committed = scratch.commit(ctx, chosen, e_after);
+    let commit_ms = ms(t_commit.elapsed());
     let trace = RoundTrace {
-        round: 0,
         single_mode: false,
-        n_candidates,
         r_top: l_top.len(),
         n_sol: l_sol.len(),
         n_indp: l_indp.len(),
         n_rand: l_rand.len(),
         chose_indp,
-        applied: committed.report.applied,
-        dropped_cycle: committed.report.dropped_cycle,
         reverted,
-        e_before: ctx.e,
-        e_after: committed.e_after,
-        e_est,
-        n_ands_after: committed.aig.n_ands(),
-        scored_exact: 0,
-        scored_pruned: 0,
-        candgen_ms: 0.0,
-        mask_ms: 0.0,
-        score_ms: 0.0,
-        select_ms,
-        trial_ms,
-        commit_ms: 0.0,
-        candgen_probe_draws: 0,
-        candgen_strip_cmps: 0,
-        candgen_pool_hits: 0,
-        candgen_pool_misses: 0,
-        window_targets: 0,
-    };
-    (committed, trace)
-}
-
-/// The multi-mode race over the incremental engine: trial-measures the
-/// independent and the random set (concurrently when the pool has
-/// threads to spare), picks the winner by the same rule as the
-/// committed race, runs the `l_d` negative-set check on trial
-/// measurements, and only then commits the chosen set through the one
-/// real apply-and-measure of the round.
-#[allow(clippy::too_many_arguments)]
-fn multi_round_incremental<'a>(
-    ctx: &RoundCtx<'_, 'a>,
-    scratch: &mut RoundScratch<'a>,
-    n_candidates: usize,
-    l_top: &[ScoredLac],
-    n_sol: usize,
-    l_indp: &[ScoredLac],
-    l_rand: &[ScoredLac],
-    select_ms: f64,
-) -> (Arc<Committed>, RoundTrace) {
-    let cfg = ctx.cfg;
-    let t_trial = Instant::now();
-    let (e1, e2) = if cfg.race_random && ctx.pool.threads() > 1 {
-        let topo = scratch.topo(ctx.current);
-        let sets = [l_indp, l_rand];
-        let es = ctx.pool.par_map_collect(&sets, |_, set| {
-            let mut te = TrialEval::new(ctx.current, ctx.sim, ctx.eval, topo.clone());
-            te.measure(set, false).e_after
-        });
-        (es[0], es[1])
-    } else {
-        let e1 = scratch.trial(ctx, l_indp, false).e_after;
-        let e2 = if cfg.race_random {
-            scratch.trial(ctx, l_rand, false).e_after
-        } else {
-            f64::INFINITY
-        };
-        (e1, e2)
-    };
-
-    let chose_indp = !cfg.race_random || e1 < e2 || (e1 == e2 && l_indp.len() >= l_rand.len());
-    let (mut e_after, mut chosen) = if chose_indp { (e1, l_indp) } else { (e2, l_rand) };
-    let mut e_est = ctx.e + chosen.iter().map(|s| s.delta_e).sum::<f64>();
-
-    // Improvement technique 2: detect a negative LAC set and revert
-    // to applying only the single best LAC.
-    let mut reverted = false;
-    let best_holder;
-    if e_after > 0.0 {
-        let beta = (e_after - e_est) / e_after;
-        if beta > cfg.l_d {
-            best_holder = l_top[0].clone();
-            e_after = scratch
-                .trial(ctx, std::slice::from_ref(&best_holder), false)
-                .e_after;
-            e_est = ctx.e + best_holder.delta_e;
-            reverted = true;
-            chosen = std::slice::from_ref(&best_holder);
-        }
-    }
-    let trial_ms = ms(t_trial.elapsed());
-
-    // Commit the round's one real apply + cleanup; the trial error
-    // stands in for the full re-measure (bit-identical by contract).
-    let t_commit = Instant::now();
-    let committed = scratch.commit(ctx, chosen, Some(e_after));
-    let commit_ms = ms(t_commit.elapsed());
-    let trace = RoundTrace {
-        round: 0,
-        single_mode: false,
-        n_candidates,
-        r_top: l_top.len(),
-        n_sol,
-        n_indp: l_indp.len(),
-        n_rand: l_rand.len(),
-        chose_indp,
-        applied: committed.report.applied,
-        dropped_cycle: committed.report.dropped_cycle,
-        reverted,
-        e_before: ctx.e,
-        e_after,
-        e_est,
-        n_ands_after: committed.aig.n_ands(),
-        scored_exact: 0,
-        scored_pruned: 0,
-        candgen_ms: 0.0,
-        mask_ms: 0.0,
-        score_ms: 0.0,
-        select_ms,
-        trial_ms,
-        commit_ms,
-        candgen_probe_draws: 0,
-        candgen_strip_cmps: 0,
-        candgen_pool_hits: 0,
-        candgen_pool_misses: 0,
-        window_targets: 0,
+        ..round_trace(
+            ctx,
+            &committed,
+            n_candidates,
+            e_est,
+            [select_ms, trial_ms, commit_ms],
+        )
     };
     (committed, trace)
 }
@@ -1023,14 +906,10 @@ impl FlowInstance {
     /// Runs one round. Returns `false` once the flow has converged —
     /// the instance then holds the final circuit and error.
     pub fn step(&mut self, caches: &mut FlowCaches) -> bool {
-        if self.finished {
+        if !self.begin_round() {
             return false;
         }
-        if self.round >= self.cfg.max_rounds {
-            self.finish();
-            return false;
-        }
-        let Some(shared) = prepare_round(
+        let shared = prepare_round(
             &self.cfg,
             self.pool,
             &self.current,
@@ -1038,11 +917,42 @@ impl FlowInstance {
             &self.golden_sigs,
             caches,
             self.r_ref,
-        ) else {
+        );
+        self.play_round(caches, shared, false)
+    }
+
+    /// Whether another round may run; finishes the flow at the round
+    /// cap.
+    pub(crate) fn begin_round(&mut self) -> bool {
+        if self.finished {
+            return false;
+        }
+        if self.round >= self.cfg.max_rounds {
+            self.finish();
+            return false;
+        }
+        true
+    }
+
+    /// The per-member half of a round over its prepared shared phases
+    /// (`None`: nothing left to score, the flow has converged): decide,
+    /// trace, conclude, and roll the caches' pending remap. `reference`
+    /// measures every set by a full commit ([`crate::reference`]).
+    /// Returns whether the flow continues.
+    pub(crate) fn play_round(
+        &mut self,
+        caches: &mut FlowCaches,
+        shared: Option<RoundShared>,
+        reference: bool,
+    ) -> bool {
+        let Some(shared) = shared else {
             self.finish();
             return false;
         };
-        let mut scratch = RoundScratch::default();
+        let mut scratch = RoundScratch {
+            reference,
+            ..RoundScratch::default()
+        };
         let ctx = RoundCtx {
             cfg: &self.cfg,
             pool: self.pool,

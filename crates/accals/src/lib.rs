@@ -41,6 +41,8 @@ pub mod topset;
 
 mod engine;
 mod flow;
+#[doc(hidden)]
+pub mod reference;
 mod trace;
 mod trial;
 pub(crate) mod window;
@@ -143,28 +145,6 @@ pub struct AccalsConfig {
     /// 7-12 of Algorithm 1). Disabling this always applies `L_indp`;
     /// used by the ablation experiments.
     pub race_random: bool,
-    /// Score trial applications with the incremental engine
-    /// ([`TrialEval`]: journaled edits, cone-union re-simulation,
-    /// affected-output error replay) instead of cloning and fully
-    /// re-simulating per trial. The synthesized circuit is identical
-    /// either way — measurements are bit-identical by construction — so
-    /// this exists for benchmarking the speedup and as a fallback.
-    pub incremental_trials: bool,
-    /// Generate candidates through the cross-round
-    /// [`lac::CandidateStore`] (dirty-region regeneration plus cached
-    /// deviation masks for scoring) instead of from scratch every round.
-    /// The candidate lists and scores are bit-identical either way — the
-    /// store's invalidation contract is exact — so this exists for
-    /// benchmarking the speedup and as a fallback.
-    pub incremental_candgen: bool,
-    /// Score rounds through the bound-driven top-k estimator
-    /// (`estimate::BatchEstimator::score_topk`): candidates whose error
-    /// lower bound proves they cannot enter the round's top set are
-    /// abandoned early instead of scored exactly. Sound by
-    /// construction — the selected top set, and therefore the
-    /// synthesized circuit, is bit-identical either way — so this
-    /// exists for benchmarking the speedup and as a fallback.
-    pub pruned_scoring: bool,
     /// Windowed rounds: restrict each round's candidate targets to a
     /// bounded, rotating region of the circuit ([`WindowSpec`]). `None`
     /// (the default) runs dense rounds over the whole graph. Window
@@ -197,9 +177,6 @@ impl AccalsConfig {
             seed: 0xACC_A15,
             max_rounds: 100_000,
             race_random: true,
-            incremental_trials: true,
-            incremental_candgen: true,
-            pruned_scoring: true,
             window: None,
         }
     }
@@ -224,9 +201,6 @@ impl AccalsConfig {
             && self.seed == other.seed
             && self.max_rounds == other.max_rounds
             && self.race_random == other.race_random
-            && self.incremental_trials == other.incremental_trials
-            && self.incremental_candgen == other.incremental_candgen
-            && self.pruned_scoring == other.pruned_scoring
             && self.window == other.window
     }
 }

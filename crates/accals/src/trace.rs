@@ -37,14 +37,15 @@ pub struct RoundTrace {
     pub e_est: f64,
     /// AIG gate count after the round (post-cleanup).
     pub n_ands_after: usize,
-    /// Candidates scored to an exact `ΔE` this round. With pruned
-    /// scoring off this equals the retained (`gain > 0`) candidate
-    /// count. The exact/pruned split is schedule-dependent (see
+    /// Candidates scored to an exact `ΔE` this round. Together with
+    /// `scored_pruned` this is the retained (`gain > 0`) candidate
+    /// count, which the dense `accals::reference` oracle scores
+    /// exactly. The exact/pruned split is schedule-dependent (see
     /// `estimate::TopkStats`) — diagnostics only, never part of the
     /// determinism contract.
     pub scored_exact: usize,
     /// Candidates abandoned early by the top-k lower bound this round
-    /// (0 with pruned scoring off).
+    /// (always 0 in the reference oracle).
     pub scored_pruned: usize,
     /// Wall-clock spent generating candidates (fresh or rolled through
     /// the [`lac::CandidateStore`]), in milliseconds.

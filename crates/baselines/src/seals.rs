@@ -125,9 +125,12 @@ impl Seals {
             });
 
             // Try candidates in estimated order until one makes progress
-            // (area shrinks or the error moves); a bound violation is
-            // terminal. Fully-masked nodes can otherwise be rewritten
-            // back and forth forever at zero measured gain.
+            // (area shrinks, or the error moves at equal area); a bound
+            // violation is terminal. Fully-masked nodes can otherwise be
+            // rewritten back and forth forever at zero measured gain, and
+            // adopting an area-growing edit lets the flow oscillate
+            // between two circuits (grow with lower error, re-shrink,
+            // repeat) — the same rule AccALS rounds use.
             let mut applied: Option<(aig::Aig, f64)> = None;
             for best in scored.into_iter().take(64) {
                 let mut next = current.clone();
@@ -140,7 +143,8 @@ impl Seals {
                     &sim_next.output_sigs(&next),
                     pats.n_patterns(),
                 );
-                let progress = next.n_ands() < current.n_ands() || e_next != e;
+                let progress = next.n_ands() <= current.n_ands()
+                    && (next.n_ands() < current.n_ands() || e_next != e);
                 let terminal = e_next > cfg.error_bound;
                 if progress || terminal {
                     applied = Some((next, e_next));
@@ -211,5 +215,19 @@ mod tests {
         // is rolled back, so area reduction needs at least rounds - 1.
         assert!(result.rounds >= 1);
         assert!(result.error <= 0.005);
+    }
+
+    #[test]
+    fn seals_converges_without_growing_area_on_wal8() {
+        // wal8 under ER 0.05 once adopted area-growing edits and
+        // oscillated between two circuits until the round cap; a
+        // 100-round cap makes that a quick failure rather than a hang.
+        let golden = benchgen::suite::by_name("wal8").expect("suite circuit");
+        let mut cfg = SealsConfig::new(MetricKind::Er, 0.05);
+        cfg.max_rounds = 100;
+        let result = Seals::new(cfg).synthesize(&golden);
+        assert!(result.rounds < 100, "{} rounds", result.rounds);
+        assert!(result.error <= 0.05, "error {}", result.error);
+        assert!(result.aig.n_ands() <= golden.n_ands());
     }
 }

@@ -1,24 +1,26 @@
-//! End-to-end flow benchmark: full `synthesize` wall-clock with the
-//! incremental round pipeline — trial evaluation
-//! (`AccalsConfig::incremental_trials`) plus cross-round candidate
-//! generation (`AccalsConfig::incremental_candgen`) — versus the full
-//! regenerate-and-resimulate path, on the same circuits, bounds, and
-//! thread pool.
+//! End-to-end flow benchmark: full `synthesize` wall-clock of the
+//! production round pipeline — cross-round candidate store, pruned
+//! top-k scoring over cached masks, incremental trial evaluation —
+//! versus `accals::reference`, the oracle that generates candidates
+//! fresh, scores densely, and measures every candidate set by a full
+//! commit and re-simulation. Same circuits, bounds, and thread pool.
 //!
-//! Both paths commit the identical circuit through the identical round
-//! sequence — the run asserts this before reporting — so the numbers
-//! compare two implementations of the same algorithm, not two algorithms.
-//! Std-only timing (`std::time::Instant`, median of repeats); results go
-//! to `BENCH_flow.json` in the working directory.
+//! Both commit the identical circuit through the identical round
+//! sequence — each pair is run once and asserted identical before it is
+//! timed — so the numbers compare two implementations of the same
+//! algorithm, not two algorithms. Std-only timing
+//! (`std::time::Instant`, median of repeats); results go to
+//! `BENCH_flow.json` in the working directory.
 //!
 //! Usage: `bench_flow [circuit[=bound] ...]` (default: mtp8 rca32 alu4
 //! at per-circuit default bounds), or `bench_flow --smoke` for a fast
 //! single-circuit sanity run that writes no file (used by
 //! `scripts/check_offline.sh`). Every circuit runs once per pool width
 //! in [`THREAD_COUNTS`] — one JSON row each — and the committed circuit
-//! is asserted identical across both paths *and* all thread counts.
+//! is asserted identical across production and reference *and* all
+//! thread counts.
 
-use accals::{Accals, AccalsConfig, SynthesisResult};
+use accals::{Accals, AccalsConfig, RoundTrace, SynthesisResult};
 use aig::Aig;
 use errmetrics::MetricKind;
 use parkit::ThreadPool;
@@ -43,59 +45,33 @@ fn metric_for(name: &str) -> (MetricKind, f64) {
     }
 }
 
-fn run_flow(
-    golden: &Aig,
-    kind: MetricKind,
-    bound: f64,
-    incremental: bool,
-    pruned: bool,
-    pool: &'static ThreadPool,
-) -> SynthesisResult {
-    let mut cfg = AccalsConfig::new(kind, bound);
-    cfg.incremental_trials = incremental;
-    cfg.incremental_candgen = incremental;
-    cfg.pruned_scoring = pruned;
-    Accals::new(cfg).with_pool(pool).synthesize(golden)
-}
-
 /// Median wall time of `f` over `repeats` runs, in milliseconds.
-fn time_median<T>(repeats: usize, mut f: impl FnMut() -> T) -> (f64, T) {
-    let mut times: Vec<f64> = Vec::with_capacity(repeats);
-    let mut last = None;
-    for _ in 0..repeats {
-        let t0 = Instant::now();
-        last = Some(f());
-        times.push(t0.elapsed().as_secs_f64() * 1e3);
-    }
+fn time_median(repeats: usize, mut f: impl FnMut()) -> f64 {
+    let mut times: Vec<f64> = (0..repeats)
+        .map(|_| {
+            let t0 = Instant::now();
+            f();
+            t0.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
     times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    (times[times.len() / 2], last.unwrap())
+    times[times.len() / 2]
 }
 
-/// The two trial paths promise the identical committed circuit; a
-/// benchmark comparing divergent runs would be meaningless.
-fn check_identity(name: &str, full: &SynthesisResult, incr: &SynthesisResult) {
+/// Production and reference promise the identical committed circuit;
+/// a benchmark comparing divergent runs would be meaningless.
+fn check_identity(name: &str, a: &SynthesisResult, b: &SynthesisResult) {
     assert_eq!(
-        full.aig.n_ands(),
-        incr.aig.n_ands(),
-        "{name}: gate count diverged between trial paths"
+        (a.aig.n_ands(), a.error.to_bits(), a.rounds.len()),
+        (b.aig.n_ands(), b.error.to_bits(), b.rounds.len()),
+        "{name}: final circuit diverged"
     );
-    assert_eq!(
-        full.error.to_bits(),
-        incr.error.to_bits(),
-        "{name}: final error diverged between trial paths"
-    );
-    assert_eq!(
-        full.rounds.len(),
-        incr.rounds.len(),
-        "{name}: round count diverged between trial paths"
-    );
-    for (rf, ri) in full.rounds.iter().zip(&incr.rounds) {
-        assert_eq!(
-            (rf.applied, rf.e_after.to_bits(), rf.n_ands_after),
-            (ri.applied, ri.e_after.to_bits(), ri.n_ands_after),
-            "{name}: round {} diverged between paths",
-            rf.round
-        );
+    let key = |r: &RoundTrace| {
+        let e_after = r.e_after.to_bits();
+        (r.applied, e_after, r.n_ands_after, r.n_candidates, r.r_top)
+    };
+    for (ra, rb) in a.rounds.iter().zip(&b.rounds) {
+        assert_eq!(key(ra), key(rb), "{name}: round {} diverged", ra.round);
     }
 }
 
@@ -108,17 +84,14 @@ struct FlowReport {
     final_ands: usize,
     error: f64,
     rounds: usize,
-    full_ms: f64,
-    incr_ms: f64,
-    /// Per-phase totals of the incremental run (pruned scoring on), from
+    reference_ms: f64,
+    production_ms: f64,
+    /// Per-phase totals of the production run, from
     /// [`SynthesisResult::phase_totals_ms`]: candgen, mask, score,
     /// select, trial, commit.
-    incr_phases_ms: [f64; 6],
-    /// Scoring-phase total of an otherwise identical incremental run
-    /// with `pruned_scoring` off (dense `score_all`).
-    incr_score_dense_ms: f64,
+    production_phases_ms: [f64; 6],
     /// Candidates scored exactly / abandoned on the bound across every
-    /// round of the pruned incremental run.
+    /// round of the production run.
     scored_exact: usize,
     scored_pruned: usize,
 }
@@ -127,7 +100,7 @@ const PHASE_NAMES: [&str; 6] = ["candgen", "mask", "score", "select", "trial", "
 
 impl FlowReport {
     fn speedup(&self) -> f64 {
-        self.full_ms / self.incr_ms.max(1e-9)
+        self.reference_ms / self.production_ms.max(1e-9)
     }
 
     fn rounds_per_sec(&self, ms: f64) -> f64 {
@@ -144,32 +117,22 @@ impl FlowReport {
         let _ = writeln!(s, "      \"final_ands\": {},", self.final_ands);
         let _ = writeln!(s, "      \"error\": {:.6},", self.error);
         let _ = writeln!(s, "      \"rounds\": {},", self.rounds);
-        let _ = writeln!(s, "      \"full_resim_ms\": {:.3},", self.full_ms);
-        let _ = writeln!(s, "      \"incremental_ms\": {:.3},", self.incr_ms);
-        for (n, v) in PHASE_NAMES.iter().zip(self.incr_phases_ms) {
-            let _ = writeln!(s, "      \"incremental_{n}_ms\": {v:.3},");
+        let _ = writeln!(s, "      \"reference_ms\": {:.3},", self.reference_ms);
+        let _ = writeln!(s, "      \"production_ms\": {:.3},", self.production_ms);
+        for (n, v) in PHASE_NAMES.iter().zip(self.production_phases_ms) {
+            let _ = writeln!(s, "      \"production_{n}_ms\": {v:.3},");
         }
-        let _ = writeln!(
-            s,
-            "      \"incremental_score_dense_ms\": {:.3},",
-            self.incr_score_dense_ms
-        );
         let _ = writeln!(s, "      \"scored_exact\": {},", self.scored_exact);
         let _ = writeln!(s, "      \"scored_pruned\": {},", self.scored_pruned);
         let _ = writeln!(
             s,
-            "      \"score_phase_speedup\": {:.2},",
-            self.incr_score_dense_ms / self.incr_phases_ms[2].max(1e-9)
+            "      \"rounds_per_sec_reference\": {:.2},",
+            self.rounds_per_sec(self.reference_ms)
         );
         let _ = writeln!(
             s,
-            "      \"rounds_per_sec_full\": {:.2},",
-            self.rounds_per_sec(self.full_ms)
-        );
-        let _ = writeln!(
-            s,
-            "      \"rounds_per_sec_incremental\": {:.2},",
-            self.rounds_per_sec(self.incr_ms)
+            "      \"rounds_per_sec_production\": {:.2},",
+            self.rounds_per_sec(self.production_ms)
         );
         let _ = writeln!(s, "      \"speedup\": {:.2}", self.speedup());
         s.push_str("    }");
@@ -177,6 +140,9 @@ impl FlowReport {
     }
 }
 
+/// Runs one production/reference pair on `pool`, asserts identity, then
+/// times `repeats` runs of each. Returns the report and the production
+/// result (for the cross-thread identity check).
 fn bench_circuit(
     name: &str,
     golden: &Aig,
@@ -185,65 +151,61 @@ fn bench_circuit(
     repeats: usize,
     pool: &'static ThreadPool,
 ) -> (FlowReport, SynthesisResult) {
-    let (full_ms, full) =
-        time_median(repeats, || run_flow(golden, kind, bound, false, false, pool));
-    let (incr_ms, incr) = time_median(repeats, || run_flow(golden, kind, bound, true, true, pool));
-    check_identity(name, &full, &incr);
-    // Pruning on vs off inside the incremental pipeline: identical
-    // trajectory (asserted), scoring phase timed separately.
-    let (_, incr_dense) = time_median(repeats, || run_flow(golden, kind, bound, true, false, pool));
-    check_identity(name, &incr, &incr_dense);
-    let incr_phases_ms = incr.phase_totals_ms();
-    let incr_score_dense_ms = incr_dense.phase_totals_ms()[2];
-    let scored_exact = incr.rounds.iter().map(|r| r.scored_exact).sum();
-    let scored_pruned = incr.rounds.iter().map(|r| r.scored_pruned).sum();
+    let cfg = AccalsConfig::new(kind, bound);
+    let production = || Accals::new(cfg.clone()).with_pool(pool).synthesize(golden);
+    let reference = || accals::reference::synthesize(cfg.clone(), pool, golden);
+    let prod = production();
+    check_identity(
+        &format!("{name} threads={}", pool.threads()),
+        &prod,
+        &reference(),
+    );
+    let reference_ms = time_median(repeats, || drop(reference()));
+    let production_ms = time_median(repeats, || drop(production()));
     let report = FlowReport {
         name: name.to_string(),
         kind,
         bound,
         threads: pool.threads(),
-        initial_ands: full.initial_ands,
-        final_ands: full.aig.n_ands(),
-        error: full.error,
-        rounds: full.rounds.len(),
-        full_ms,
-        incr_ms,
-        incr_phases_ms,
-        incr_score_dense_ms,
-        scored_exact,
-        scored_pruned,
+        initial_ands: prod.initial_ands,
+        final_ands: prod.aig.n_ands(),
+        error: prod.error,
+        rounds: prod.rounds.len(),
+        reference_ms,
+        production_ms,
+        production_phases_ms: prod.phase_totals_ms(),
+        scored_exact: prod.rounds.iter().map(|r| r.scored_exact).sum(),
+        scored_pruned: prod.rounds.iter().map(|r| r.scored_pruned).sum(),
     };
-    (report, incr)
+    (report, prod)
 }
 
 fn print_report(r: &FlowReport) {
     println!(
-        "{:>6} ({:?} <= {}): {} -> {} ANDs, {} rounds | full {:.1}ms ({:.1} rounds/s) | incremental {:.1}ms ({:.1} rounds/s) -> {:.2}x",
+        "{:>6} ({:?} <= {}) threads {}: {} -> {} ANDs, {} rounds | reference {:.1}ms ({:.1} rounds/s) | production {:.1}ms ({:.1} rounds/s) -> {:.2}x",
         r.name,
         r.kind,
         r.bound,
+        r.threads,
         r.initial_ands,
         r.final_ands,
         r.rounds,
-        r.full_ms,
-        r.rounds_per_sec(r.full_ms),
-        r.incr_ms,
-        r.rounds_per_sec(r.incr_ms),
+        r.reference_ms,
+        r.rounds_per_sec(r.reference_ms),
+        r.production_ms,
+        r.rounds_per_sec(r.production_ms),
         r.speedup()
     );
     let phases: Vec<String> = PHASE_NAMES
         .iter()
-        .zip(r.incr_phases_ms)
+        .zip(r.production_phases_ms)
         .map(|(n, v)| format!("{n} {v:.0}"))
         .collect();
-    println!("        incremental phase ms: {}", phases.join(", "));
     println!(
-        "        score phase: dense {:.1}ms -> pruned {:.1}ms ({} pruned / {} exact) -> {:.2}x",
-        r.incr_score_dense_ms,
-        r.incr_phases_ms[2],
+        "        production phase ms: {} ({} pruned / {} exact scores)",
+        phases.join(", "),
         r.scored_pruned,
-        r.scored_exact,
-        r.incr_score_dense_ms / r.incr_phases_ms[2].max(1e-9)
+        r.scored_exact
     );
 }
 
@@ -256,20 +218,21 @@ fn main() {
 
     if args.iter().any(|a| a == "--smoke") {
         // One tiny circuit, one repeat per pool width, identity asserted
-        // across both paths and all widths; no file.
+        // between production and reference and across all widths; no
+        // file.
         let golden = benchgen::multipliers::array_multiplier(4);
-        let mut reference: Option<SynthesisResult> = None;
+        let mut baseline: Option<SynthesisResult> = None;
         for pool in &pools {
-            let (r, incr) = bench_circuit("mtp4", &golden, MetricKind::Nmed, 0.005, 1, pool);
+            let (r, prod) = bench_circuit("mtp4", &golden, MetricKind::Nmed, 0.005, 1, pool);
             print_report(&r);
-            match &reference {
-                None => reference = Some(incr),
+            match &baseline {
+                None => baseline = Some(prod),
                 Some(first) => {
-                    check_identity(&format!("mtp4 threads={}", pool.threads()), first, &incr)
+                    check_identity(&format!("mtp4 threads={}", pool.threads()), first, &prod)
                 }
             }
         }
-        println!("smoke ok (identical across threads {THREAD_COUNTS:?})");
+        println!("smoke ok (production = reference, identical across threads {THREAD_COUNTS:?})");
         return;
     }
 
@@ -290,30 +253,31 @@ fn main() {
             .collect()
     };
 
+    let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
     println!(
-        "bench_flow: end-to-end synthesize, {REPEATS} repeats, threads {THREAD_COUNTS:?} ({} cores visible)",
-        std::thread::available_parallelism().map_or(0, |n| n.get())
+        "bench_flow: end-to-end synthesize, {REPEATS} repeats, threads {THREAD_COUNTS:?} ({cores} cores visible)"
     );
     let mut reports = Vec::new();
     for (name, bound) in &circuits {
         let golden = benchgen::suite::by_name(name).expect("known suite circuit");
         let (kind, default_bound) = metric_for(name);
         let bound = bound.unwrap_or(default_bound);
-        let mut reference: Option<SynthesisResult> = None;
+        let mut baseline: Option<SynthesisResult> = None;
         for pool in &pools {
-            let (r, incr) = bench_circuit(name, &golden, kind, bound, REPEATS, pool);
+            let (r, prod) = bench_circuit(name, &golden, kind, bound, REPEATS, pool);
             print_report(&r);
-            match &reference {
-                None => reference = Some(incr),
+            match &baseline {
+                None => baseline = Some(prod),
                 Some(first) => {
-                    check_identity(&format!("{name} threads={}", pool.threads()), first, &incr)
+                    check_identity(&format!("{name} threads={}", pool.threads()), first, &prod)
                 }
             }
             reports.push(r);
         }
     }
 
-    let mut json = String::from("{\n  \"bench\": \"flow\",\n  \"circuits\": [\n");
+    let mut json =
+        format!("{{\n  \"bench\": \"flow\",\n  \"cores_visible\": {cores},\n  \"circuits\": [\n");
     for (i, r) in reports.iter().enumerate() {
         json.push_str(&r.to_json());
         json.push_str(if i + 1 < reports.len() { ",\n" } else { "\n" });

@@ -107,7 +107,7 @@ impl ErrorEval {
         let arith = kind.is_arithmetic();
         if arith {
             assert!(
-                n_outputs <= 128,
+                n_outputs <= MetricKind::MAX_ARITH_OUTPUTS,
                 "arithmetic metrics support at most 128 outputs, got {n_outputs}"
             );
         }

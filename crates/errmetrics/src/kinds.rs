@@ -29,6 +29,10 @@ impl MetricKind {
         !matches!(self, MetricKind::Er)
     }
 
+    /// The widest output word an arithmetic metric decodes (values are
+    /// `u128`); ER has no limit.
+    pub const MAX_ARITH_OUTPUTS: usize = 128;
+
     /// All supported metric kinds.
     pub const ALL: [MetricKind; 6] = [
         MetricKind::Er,

@@ -19,6 +19,10 @@ cargo build --release --workspace --offline
 if [ "$QUICK" -eq 0 ]; then
     echo "== tier-1 (offline): cargo test -q =="
     cargo test -q --workspace --offline
+    # The benchmark harness is its own package outside the workspace;
+    # its self-tests catch public-API changes that would break it.
+    echo "== benchmark self-tests (offline): accbench =="
+    cargo test --release --offline --manifest-path accbench/Cargo.toml
 fi
 
 # Lint the crates the incremental round pipeline touches. Gated on
@@ -28,13 +32,15 @@ if cargo clippy --version >/dev/null 2>&1; then
     echo "== lint (offline): cargo clippy -D warnings =="
     cargo clippy --offline -p aig -p bitsim -p errmetrics -p lac \
         -p estimate -p accals -p accals-bench -p fuzzkit \
-        -p parkit -p sweep -p benchgen -p circuitio -- -D warnings
+        -p parkit -p sweep -p benchgen -p circuitio -p baselines \
+        -p accals-repro -- -D warnings
 else
     echo "== lint: cargo clippy not installed, skipping =="
 fi
 
-# The smoke run itself asserts that the incremental round pipeline
-# (trials + candidate store) commits bit-identically to the fresh path.
+# The smoke run itself asserts that the production round pipeline
+# commits bit-identically to the reference oracle (production vs
+# reference, at every pool width).
 echo "== bench smoke (offline): bench_flow --smoke =="
 cargo run --release --offline -p accals-bench --bin bench_flow -- --smoke
 

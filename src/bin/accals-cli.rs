@@ -153,9 +153,22 @@ fn cmd_synth(args: &[String]) -> Result<(), Box<dyn Error>> {
     let input = required(args, "input")?;
     let metric: MetricKind = required(args, "metric")?.parse()?;
     let bound: f64 = required(args, "bound")?.parse()?;
+    if !(bound > 0.0 && bound.is_finite()) {
+        return Err(format!("--bound must be a positive finite number, got {bound}").into());
+    }
     let flow = opt(args, "flow").unwrap_or_else(|| "accals".to_string());
     let seed: u64 = opt(args, "seed").map_or(Ok(0xACC_A15), |s| s.parse())?;
     let golden = load(&input)?;
+    if metric.is_arithmetic() && golden.n_pos() > MetricKind::MAX_ARITH_OUTPUTS {
+        return Err(format!(
+            "{metric} reads the outputs as one binary number of at most {} bits, \
+             but {} has {} outputs; use --metric er",
+            MetricKind::MAX_ARITH_OUTPUTS,
+            golden.name(),
+            golden.n_pos()
+        )
+        .into());
+    }
     let lib = Library::mcnc_mini();
     let before = map(&golden, &lib, MapMode::Area);
 

@@ -7,11 +7,13 @@
 //! circuit revision — same candidates, same order — and the deviation
 //! masks it carries reproduce the same scored `ΔE` down to the last
 //! mantissa bit, at any thread count. The same promise lifts to the
-//! whole flow: with incremental candidate generation on or off, at any
-//! thread count, `synthesize` commits the identical circuit through the
-//! identical round sequence.
+//! whole flow: production, which generates candidates through the
+//! store, commits the identical circuit through the identical round
+//! sequence as `accals::reference`, which generates them fresh, at any
+//! thread count.
 
-use accals::{Accals, AccalsConfig, SizeParam};
+mod common;
+
 use aig::{Aig, Lit};
 use bitsim::{simulate, Patterns};
 use errmetrics::{ErrorEval, MetricKind};
@@ -155,36 +157,8 @@ fn rolled_store_matches_fresh_generation_mtp8() {
 
 #[test]
 fn synthesis_is_identical_across_candgen_paths_and_thread_counts() {
-    for (name, bound) in [("rca32", 0.05), ("mtp8", 0.02)] {
-        let golden = circuit(name);
-        let mut reference: Option<(usize, u64, usize, Vec<(usize, u64, usize)>)> = None;
-        for incremental in [false, true] {
-            for threads in [1usize, 2, 8] {
-                let mut cfg = AccalsConfig::new(MetricKind::Er, bound);
-                cfg.r_ref = SizeParam::Fixed(40);
-                cfg.r_sel = SizeParam::Fixed(8);
-                cfg.incremental_candgen = incremental;
-                let result = Accals::new(cfg)
-                    .with_pool(leaked_pool(threads))
-                    .synthesize(&golden);
-                let key = (
-                    result.aig.n_ands(),
-                    result.error.to_bits(),
-                    result.rounds.len(),
-                    result
-                        .rounds
-                        .iter()
-                        .map(|r| (r.applied, r.e_after.to_bits(), r.n_ands_after))
-                        .collect::<Vec<_>>(),
-                );
-                match &reference {
-                    None => reference = Some(key),
-                    Some(r) => assert_eq!(
-                        *r, key,
-                        "{name}: incremental={incremental} threads={threads} diverged"
-                    ),
-                }
-            }
-        }
-    }
+    common::assert_production_matches_reference(&[
+        ("rca32", circuit("rca32"), MetricKind::Er, 0.05),
+        ("mtp8", circuit("mtp8"), MetricKind::Er, 0.02),
+    ]);
 }

@@ -6,23 +6,22 @@
 //! `apply_all`, `cleanup`, full re-simulate, full rescore) would report
 //! for the same set: the error down to the last mantissa bit, the
 //! post-cleanup gate count, and the applied/dropped accounting. The
-//! same promise lifts to the whole flow: with incremental trials on or
-//! off, at any thread count, `synthesize` commits the identical circuit
-//! through the identical round sequence.
+//! same promise lifts to the whole flow: production, which measures
+//! sets on the trial engine (raced in parallel on multi-threaded pools),
+//! commits the identical circuit through the identical round sequence
+//! as `accals::reference`, which commits and re-simulates every set, at
+//! any thread count.
 
-use accals::{Accals, AccalsConfig, SizeParam, TrialEval};
+mod common;
+
+use accals::TrialEval;
 use aig::Aig;
 use bitsim::{simulate, ConeTopology, Patterns};
 use errmetrics::{error, ErrorEval, MetricKind};
 use lac::{apply_all, generate_candidates, CandidateConfig, Lac, ScoredLac};
-use parkit::ThreadPool;
 
 fn circuit(name: &str) -> Aig {
     benchgen::suite::by_name(name).expect("known suite circuit")
-}
-
-fn leaked_pool(threads: usize) -> &'static ThreadPool {
-    Box::leak(Box::new(ThreadPool::new(threads)))
 }
 
 fn scored(lac: Lac) -> ScoredLac {
@@ -153,31 +152,14 @@ fn trial_measure_matches_committed_path_mid_synthesis() {
 
 #[test]
 fn synthesis_is_identical_across_trial_paths_and_thread_counts() {
-    for (name, bound) in [("rca32", 0.05), ("mtp8", 0.02)] {
-        let golden = circuit(name);
-        let mut reference: Option<(usize, u64, usize)> = None;
-        for incremental in [false, true] {
-            for threads in [1usize, 2, 8] {
-                let mut cfg = AccalsConfig::new(MetricKind::Er, bound);
-                cfg.r_ref = SizeParam::Fixed(40);
-                cfg.r_sel = SizeParam::Fixed(8);
-                cfg.incremental_trials = incremental;
-                let result = Accals::new(cfg)
-                    .with_pool(leaked_pool(threads))
-                    .synthesize(&golden);
-                let key = (
-                    result.aig.n_ands(),
-                    result.error.to_bits(),
-                    result.rounds.len(),
-                );
-                match &reference {
-                    None => reference = Some(key),
-                    Some(r) => assert_eq!(
-                        *r, key,
-                        "{name}: incremental={incremental} threads={threads} diverged"
-                    ),
-                }
-            }
-        }
-    }
+    // Long enough to exercise the negative-set revert and the random set
+    // winning the race, on top of single-mode rounds.
+    let paths = common::assert_production_matches_reference(&[
+        ("rca32", circuit("rca32"), MetricKind::Nmed, 0.02),
+        ("c880", circuit("c880"), MetricKind::Er, 0.03),
+    ]);
+    assert!(
+        paths.iter().all(|&n| n > 0),
+        "the cases must cover single-mode rounds, reverts, and random-set wins: {paths:?}"
+    );
 }
