@@ -38,6 +38,16 @@ else
     echo "== lint: cargo clippy not installed, skipping =="
 fi
 
+# Formatting gate for the crates kept rustfmt-clean (the rest of the
+# workspace predates the gate). Gated on rustfmt being installed, like
+# the clippy step.
+if cargo fmt --version >/dev/null 2>&1; then
+    echo "== format (offline): cargo fmt -p lac --check =="
+    cargo fmt -p lac --check
+else
+    echo "== format: rustfmt not installed, skipping =="
+fi
+
 # The smoke run itself asserts that the production round pipeline
 # commits bit-identically to the reference oracle (production vs
 # reference, at every pool width).
