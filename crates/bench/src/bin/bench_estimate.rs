@@ -855,7 +855,7 @@ fn main() {
     let par: &'static ThreadPool = Box::leak(Box::new(ThreadPool::new(PAR_THREADS)));
 
     println!(
-        "bench_estimate: {N_PATTERNS} patterns, {REPEATS} repeats, {PAR_THREADS} threads (1 core visible: {} )",
+        "bench_estimate: {N_PATTERNS} patterns, {REPEATS} repeats, {PAR_THREADS} threads ({} cores visible)",
         std::thread::available_parallelism().map_or(0, |n| n.get())
     );
     let mut reports = Vec::new();

@@ -9,15 +9,19 @@
 //! sequence — each pair is run once and asserted identical before it is
 //! timed — so the numbers compare two implementations of the same
 //! algorithm, not two algorithms. Std-only timing
-//! (`std::time::Instant`, median of repeats); results go to
+//! (`std::time::Instant`; min, median and max of the repeats, so a
+//! reader can tell a change from host noise); results go to
 //! `BENCH_flow.json` in the working directory.
 //!
 //! Usage: `bench_flow [circuit[=bound] ...]` (default: mtp8 rca32 alu4
 //! at per-circuit default bounds), or `bench_flow --smoke` for a fast
 //! single-circuit sanity run that writes no file (used by
-//! `scripts/check_offline.sh`). Every circuit runs once per pool width
-//! in [`THREAD_COUNTS`] — one JSON row each — and the committed circuit
-//! is asserted identical across production and reference *and* all
+//! `scripts/check_offline.sh`). Every circuit is timed once per pool
+//! width in [`THREAD_COUNTS`] that does not exceed the visible core
+//! count — one JSON row each; wider pools would only time
+//! oversubscription, so they are listed under `threads_skipped` and
+//! run once, untimed, for the identity check. The committed circuit is
+//! asserted identical across production and reference *and* all
 //! thread counts.
 
 use accals::{Accals, AccalsConfig, RoundTrace, SynthesisResult};
@@ -45,8 +49,31 @@ fn metric_for(name: &str) -> (MetricKind, f64) {
     }
 }
 
-/// Median wall time of `f` over `repeats` runs, in milliseconds.
-fn time_median(repeats: usize, mut f: impl FnMut()) -> f64 {
+/// Min, median and max wall time of repeated runs, in milliseconds.
+#[derive(Debug, Clone, Copy)]
+struct Spread {
+    min: f64,
+    median: f64,
+    max: f64,
+}
+
+impl Spread {
+    fn json(&self) -> String {
+        format!(
+            "{{\"min\": {:.3}, \"median\": {:.3}, \"max\": {:.3}}}",
+            self.min, self.median, self.max
+        )
+    }
+}
+
+impl std::fmt::Display for Spread {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{:.1}ms [{:.1}..{:.1}]", self.median, self.min, self.max)
+    }
+}
+
+/// Wall time of `f` over `repeats` runs.
+fn time_spread(repeats: usize, mut f: impl FnMut()) -> Spread {
     let mut times: Vec<f64> = (0..repeats)
         .map(|_| {
             let t0 = Instant::now();
@@ -55,7 +82,11 @@ fn time_median(repeats: usize, mut f: impl FnMut()) -> f64 {
         })
         .collect();
     times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    times[times.len() / 2]
+    Spread {
+        min: times[0],
+        median: times[times.len() / 2],
+        max: times[times.len() - 1],
+    }
 }
 
 /// Production and reference promise the identical committed circuit;
@@ -84,8 +115,8 @@ struct FlowReport {
     final_ands: usize,
     error: f64,
     rounds: usize,
-    reference_ms: f64,
-    production_ms: f64,
+    reference_ms: Spread,
+    production_ms: Spread,
     /// Per-phase totals of the production run, from
     /// [`SynthesisResult::phase_totals_ms`]: candgen, mask, score,
     /// select, trial, commit.
@@ -99,8 +130,9 @@ struct FlowReport {
 const PHASE_NAMES: [&str; 6] = ["candgen", "mask", "score", "select", "trial", "commit"];
 
 impl FlowReport {
+    /// Ratio of the median wall times.
     fn speedup(&self) -> f64 {
-        self.reference_ms / self.production_ms.max(1e-9)
+        self.reference_ms.median / self.production_ms.median.max(1e-9)
     }
 
     fn rounds_per_sec(&self, ms: f64) -> f64 {
@@ -117,8 +149,8 @@ impl FlowReport {
         let _ = writeln!(s, "      \"final_ands\": {},", self.final_ands);
         let _ = writeln!(s, "      \"error\": {:.6},", self.error);
         let _ = writeln!(s, "      \"rounds\": {},", self.rounds);
-        let _ = writeln!(s, "      \"reference_ms\": {:.3},", self.reference_ms);
-        let _ = writeln!(s, "      \"production_ms\": {:.3},", self.production_ms);
+        let _ = writeln!(s, "      \"reference_ms\": {},", self.reference_ms.json());
+        let _ = writeln!(s, "      \"production_ms\": {},", self.production_ms.json());
         for (n, v) in PHASE_NAMES.iter().zip(self.production_phases_ms) {
             let _ = writeln!(s, "      \"production_{n}_ms\": {v:.3},");
         }
@@ -127,12 +159,12 @@ impl FlowReport {
         let _ = writeln!(
             s,
             "      \"rounds_per_sec_reference\": {:.2},",
-            self.rounds_per_sec(self.reference_ms)
+            self.rounds_per_sec(self.reference_ms.median)
         );
         let _ = writeln!(
             s,
             "      \"rounds_per_sec_production\": {:.2},",
-            self.rounds_per_sec(self.production_ms)
+            self.rounds_per_sec(self.production_ms.median)
         );
         let _ = writeln!(s, "      \"speedup\": {:.2}", self.speedup());
         s.push_str("    }");
@@ -160,8 +192,8 @@ fn bench_circuit(
         &prod,
         &reference(),
     );
-    let reference_ms = time_median(repeats, || drop(reference()));
-    let production_ms = time_median(repeats, || drop(production()));
+    let reference_ms = time_spread(repeats, || drop(reference()));
+    let production_ms = time_spread(repeats, || drop(production()));
     let report = FlowReport {
         name: name.to_string(),
         kind,
@@ -182,7 +214,7 @@ fn bench_circuit(
 
 fn print_report(r: &FlowReport) {
     println!(
-        "{:>6} ({:?} <= {}) threads {}: {} -> {} ANDs, {} rounds | reference {:.1}ms ({:.1} rounds/s) | production {:.1}ms ({:.1} rounds/s) -> {:.2}x",
+        "{:>6} ({:?} <= {}) threads {}: {} -> {} ANDs, {} rounds | reference {} ({:.1} rounds/s) | production {} ({:.1} rounds/s) -> {:.2}x",
         r.name,
         r.kind,
         r.bound,
@@ -191,9 +223,9 @@ fn print_report(r: &FlowReport) {
         r.final_ands,
         r.rounds,
         r.reference_ms,
-        r.rounds_per_sec(r.reference_ms),
+        r.rounds_per_sec(r.reference_ms.median),
         r.production_ms,
-        r.rounds_per_sec(r.production_ms),
+        r.rounds_per_sec(r.production_ms.median),
         r.speedup()
     );
     let phases: Vec<String> = PHASE_NAMES
@@ -254,16 +286,23 @@ fn main() {
     };
 
     let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let (timed, skipped): (Vec<&'static ThreadPool>, Vec<&'static ThreadPool>) = pools
+        .iter()
+        .partition(|p| cores == 0 || p.threads() <= cores);
+    let skipped_widths: Vec<usize> = skipped.iter().map(|p| p.threads()).collect();
     println!(
-        "bench_flow: end-to-end synthesize, {REPEATS} repeats, threads {THREAD_COUNTS:?} ({cores} cores visible)"
+        "bench_flow: end-to-end synthesize, {REPEATS} repeats (median [min..max]), threads {THREAD_COUNTS:?} ({cores} cores visible)"
     );
+    if !skipped.is_empty() {
+        println!("        timing skipped at threads {skipped_widths:?} (more than {cores} cores; identity still checked)");
+    }
     let mut reports = Vec::new();
     for (name, bound) in &circuits {
         let golden = benchgen::suite::by_name(name).expect("known suite circuit");
         let (kind, default_bound) = metric_for(name);
         let bound = bound.unwrap_or(default_bound);
         let mut baseline: Option<SynthesisResult> = None;
-        for pool in &pools {
+        for pool in &timed {
             let (r, prod) = bench_circuit(name, &golden, kind, bound, REPEATS, pool);
             print_report(&r);
             match &baseline {
@@ -274,10 +313,18 @@ fn main() {
             }
             reports.push(r);
         }
+        let first = baseline.expect("the one-thread pool is always timed");
+        for pool in &skipped {
+            let prod = Accals::new(AccalsConfig::new(kind, bound))
+                .with_pool(pool)
+                .synthesize(&golden);
+            check_identity(&format!("{name} threads={}", pool.threads()), &first, &prod);
+        }
     }
 
-    let mut json =
-        format!("{{\n  \"bench\": \"flow\",\n  \"cores_visible\": {cores},\n  \"circuits\": [\n");
+    let mut json = format!(
+        "{{\n  \"bench\": \"flow\",\n  \"cores_visible\": {cores},\n  \"repeats\": {REPEATS},\n  \"threads_skipped\": {skipped_widths:?},\n  \"circuits\": [\n"
+    );
     for (i, r) in reports.iter().enumerate() {
         json.push_str(&r.to_json());
         json.push_str(if i + 1 < reports.len() { ",\n" } else { "\n" });
